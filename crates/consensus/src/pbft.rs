@@ -367,9 +367,10 @@ impl<P: Payload> PbftReplica<P> {
         if slot.decided {
             return;
         }
-        let Some((view, digest, payload)) = slot.accepted.clone() else {
+        let Some((view, digest, payload)) = &slot.accepted else {
             return;
         };
+        let (view, digest) = (*view, *digest);
         let prepared = slot.prepares.get(&(view, digest)).is_some_and(|s| s.len() >= q);
         if prepared && !slot.sent_commit {
             slot.sent_commit = true;
@@ -379,6 +380,7 @@ impl<P: Payload> PbftReplica<P> {
         let committed = slot.commits.get(&(view, digest)).is_some_and(|s| s.len() >= q);
         if committed {
             slot.decided = true;
+            let payload = payload.clone();
             self.pending.remove(&digest);
             self.delivered_digests.insert(digest);
             hooks::commit("pbft", ctx.self_id, ctx.now, seq, digest);
@@ -390,11 +392,13 @@ impl<P: Payload> PbftReplica<P> {
     }
 
     /// Slots this replica has *prepared* (quorum of prepares) but not
-    /// decided — the safety cargo of a view-change message.
+    /// decided — the safety cargo of a view-change message. Every slot
+    /// below the log's next expected seq is delivered, hence decided,
+    /// so the walk starts there.
     fn prepared_undecided(&self) -> Vec<(u64, P)> {
         let q = self.cfg.quorum();
         self.slots
-            .iter()
+            .range(self.log.next_seq()..)
             .filter(|(_, s)| !s.decided)
             .filter_map(|(seq, s)| {
                 let (v, d, p) = s.accepted.as_ref()?;
@@ -527,12 +531,10 @@ impl<P: Payload> Actor for PbftReplica<P> {
                 // watermark signals a straggler: assist with our decided
                 // slots (PBFT's checkpoint/state transfer, simplified to
                 // f+1 matching assertions).
-                if *delivered < self.log.next_seq() {
-                    for (seq, payload, _) in self.log.delivered().to_vec() {
-                        if seq >= *delivered {
-                            ctx.send(from, PbftMsg::Decided { seq, payload });
-                        }
-                    }
+                let log = self.log.delivered();
+                let behind = log.partition_point(|(seq, _, _)| seq < delivered);
+                for (seq, payload, _) in &log[behind..] {
+                    ctx.send(from, PbftMsg::Decided { seq: *seq, payload: payload.clone() });
                 }
                 if *new_view < self.view {
                     return;
@@ -1072,5 +1074,90 @@ mod tests {
             padded.push(0);
             assert!(PbftReplica::decode_stable(net.actor(i), &padded).is_none());
         }
+    }
+
+    /// Feeds `msg` from `from` to `r` (node 1 of 4) and returns the
+    /// effects it produced.
+    fn deliver(
+        r: &mut PbftReplica<u64>,
+        from: NodeIdx,
+        msg: PbftMsg<u64>,
+    ) -> Vec<pbc_sim::actor::Effect<PbftMsg<u64>>> {
+        let mut ctx = Context::standalone(0, 1, 4);
+        r.on_message(from, &msg, &mut ctx);
+        ctx.take_effects()
+    }
+
+    /// Moves `seq` (payload `seq + 1`, view 0) through pre-prepare and
+    /// a prepare quorum on replica 1; with `commit`, through a commit
+    /// quorum too.
+    fn drive_slot(r: &mut PbftReplica<u64>, seq: u64, commit: bool) {
+        let payload = seq + 1;
+        let digest = payload.digest_u64();
+        deliver(r, 0, PbftMsg::PrePrepare { view: 0, seq, payload });
+        for from in [0, 2, 3] {
+            deliver(r, from, PbftMsg::Prepare { view: 0, seq, digest });
+        }
+        if commit {
+            for from in [0, 2, 3] {
+                deliver(r, from, PbftMsg::Commit { view: 0, seq, digest });
+            }
+        }
+    }
+
+    #[test]
+    fn straggler_assist_sends_decisions_from_its_watermark() {
+        let mut r = PbftReplica::new(PbftConfig::new(4));
+        for seq in 0..300 {
+            drive_slot(&mut r, seq, true);
+        }
+        assert_eq!(r.log.next_seq(), 300);
+        let assist = |r: &mut PbftReplica<u64>, delivered: u64| -> Vec<(NodeIdx, u64, u64)> {
+            let msg = PbftMsg::ViewChange { new_view: 1, prepared: vec![], delivered };
+            deliver(r, 2, msg)
+                .into_iter()
+                .filter_map(|e| match e {
+                    pbc_sim::actor::Effect::Send { to, msg: PbftMsg::Decided { seq, payload } } => {
+                        Some((to, seq, payload))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        for k in [0, 1, 150, 299] {
+            let expected: Vec<(NodeIdx, u64, u64)> =
+                (k..300).map(|seq| (2, seq, seq + 1)).collect();
+            assert_eq!(assist(&mut r, k), expected, "watermark {k}");
+        }
+        assert!(assist(&mut r, 300).is_empty(), "a peer at our watermark is not behind");
+        assert!(assist(&mut r, 400).is_empty(), "a peer ahead of us is not behind");
+    }
+
+    #[test]
+    fn prepared_undecided_skips_the_delivered_prefix() {
+        let mut r = PbftReplica::new(PbftConfig::new(4));
+        for seq in 0..3_000 {
+            drive_slot(&mut r, seq, true);
+        }
+        for seq in 3_000..3_005 {
+            drive_slot(&mut r, seq, false); // prepared, not decided
+        }
+        drive_slot(&mut r, 3_006, true); // decided, buffered behind the gap
+        deliver(&mut r, 0, PbftMsg::PrePrepare { view: 0, seq: 3_008, payload: 3_009 });
+        assert_eq!(r.log.next_seq(), 3_000);
+
+        let q = r.cfg.quorum();
+        let full_walk: Vec<(u64, u64)> = r
+            .slots
+            .iter()
+            .filter(|(_, s)| !s.decided)
+            .filter_map(|(seq, s)| {
+                let (v, d, p) = s.accepted.as_ref()?;
+                s.prepares.get(&(*v, *d)).is_some_and(|set| set.len() >= q).then_some((*seq, *p))
+            })
+            .collect();
+        let expected: Vec<(u64, u64)> = (3_000..3_005).map(|seq| (seq, seq + 1)).collect();
+        assert_eq!(full_walk, expected);
+        assert_eq!(r.prepared_undecided(), full_walk);
     }
 }

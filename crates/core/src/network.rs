@@ -274,7 +274,7 @@ impl NetworkBuilder {
             batch_size: self.batch_size,
             next_batch_id: 0,
             applied: vec![0; self.n],
-            seals: std::collections::HashMap::new(),
+            seals: Vec::new(),
             consensus: self.consensus,
             arch: self.arch,
             trails: self.audit.then(|| vec![AuditTrail::new(); self.n]),
@@ -331,12 +331,14 @@ pub struct BlockchainNetwork {
     /// that node's own decided log (a recovered laggard resumes where
     /// *it* stopped, not where node 0 is).
     applied: Vec<usize>,
-    /// Canonical per-sequence block seals, pinned the first time a
+    /// Canonical block seals indexed by seq, pinned the first time a
     /// reference node decides the slot and never recomputed — a laggard
     /// replaying the backlog later (possibly against a *different*
     /// reference, if the original crashed) must seal seq `k` exactly as
-    /// the nodes that applied it first did, or heads fork.
-    seals: std::collections::HashMap<u64, BlockSeal>,
+    /// the nodes that applied it first did, or heads fork. Decided logs
+    /// are contiguous from seq 0, so the sealed slots are too, and
+    /// `seals.len()` is the watermark below which every slot is sealed.
+    seals: Vec<BlockSeal>,
     consensus: ConsensusKind,
     arch: ArchKind,
     /// Per-node commit audit trails (`NetworkBuilder::with_audit`).
@@ -483,9 +485,7 @@ impl BlockchainNetwork {
     /// with the committed batches these determine the ledger head (see
     /// [`sealed_head`](crate::report::sealed_head)).
     pub fn seals(&self) -> Vec<(u64, BlockSeal)> {
-        let mut seals: Vec<(u64, BlockSeal)> = self.seals.iter().map(|(&s, &b)| (s, b)).collect();
-        seals.sort_unstable_by_key(|&(s, _)| s);
-        seals
+        (0u64..).zip(self.seals.iter().copied()).collect()
     }
 
     /// The reference node's decided batches in slot order — the block
@@ -592,11 +592,14 @@ impl BlockchainNetwork {
     ) -> Option<usize> {
         let reference = (0..self.len()).find(|&i| !self.ordering.is_crashed(i))?;
         let n = self.len();
-        for (seq, _, t) in self.ordering.decided(reference) {
-            let proposer = crate::report::seal_proposer(self.consensus.registry_name(), n, *seq);
-            self.seals
-                .entry(*seq)
-                .or_insert(BlockSeal { proposer: pbc_types::NodeId(proposer), time: *t });
+        // Only slots past the watermark are new. A reference that lags
+        // the watermark (the previous one crashed further ahead) seals
+        // nothing until it catches up.
+        let proposer = crate::report::proposer_rule(self.consensus.registry_name(), n);
+        let decided = self.ordering.decided(reference);
+        for (seq, _, t) in decided.get(self.seals.len()..).unwrap_or_default() {
+            assert_eq!(*seq, self.seals.len() as u64, "decided logs are contiguous from 0");
+            self.seals.push(BlockSeal { proposer: pbc_types::NodeId(proposer(*seq)), time: *t });
         }
         for node in 0..n {
             if self.ordering.is_crashed(node) {
@@ -605,7 +608,7 @@ impl BlockchainNetwork {
             let node_decided = self.ordering.decided(node);
             while self.applied[node] < node_decided.len() {
                 let (seq, batch, t) = &node_decided[self.applied[node]];
-                let Some(&seal) = self.seals.get(seq) else {
+                let Some(&seal) = self.seals.get(*seq as usize) else {
                     break; // ahead of every past reference: seal unknown yet
                 };
                 let outcome = self.pipelines[node].process_block_sealed(batch.txs.clone(), seal);

@@ -49,23 +49,26 @@ pub struct CommitRow {
 /// proposers — the network driver's seal pinning and the deployment
 /// cross-check both call it.
 pub fn seal_proposer(protocol: &str, n: usize, seq: u64) -> u32 {
+    proposer_rule(protocol, n)(seq)
+}
+
+/// [`seal_proposer`] with the protocol lookup done once, for loops
+/// over many slots.
+pub(crate) fn proposer_rule(protocol: &str, n: usize) -> impl Fn(u64) -> u32 {
     let rotating = protocol_info(protocol).map(|p| p.rotating).unwrap_or(false);
-    if rotating {
-        (seq as usize % n) as u32
-    } else {
-        0
-    }
+    move |seq| if rotating { (seq as usize % n) as u32 } else { 0 }
 }
 
 /// Flattens a decided log (any backend's) into comparable rows.
 pub fn commit_rows(protocol: &str, n: usize, decided: &[(u64, Batch, SimTime)]) -> Vec<CommitRow> {
+    let proposer = proposer_rule(protocol, n);
     decided
         .iter()
         .map(|(seq, batch, _)| CommitRow {
             seq: *seq,
             batch_id: batch.id,
             digest: batch.digest_u64(),
-            proposer: seal_proposer(protocol, n, *seq),
+            proposer: proposer(*seq),
         })
         .collect()
 }
